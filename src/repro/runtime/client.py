@@ -12,6 +12,17 @@ the yield point as the very same exception types the sim raises
 (:class:`~repro.rdma.verbs.VerbTimeout`,
 :class:`~repro.rdma.verbs.NodeUnavailable`, ...), so the client's retry
 machinery cannot tell the substrates apart.
+
+Each :class:`Connection` is an ``asyncio.Protocol`` on the transport of
+a freshly opened socket: responses are split out of ``data_received``
+by :class:`~repro.runtime.wire.FrameSplitter` and resolve their request
+futures in place, one ``call_at`` deadline timer per connection (armed
+at the earliest pending deadline) enforces verb timeouts, the request
+frames queued in one loop tick go out in one write, and a request waits
+for the write buffer only while the transport has paused writing.
+The server executes the frames of one connection in arrival order,
+deferring only chaos-spiked verbs and the ``__sleep__`` debug RPC, so a
+response may overtake those but no other.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import random
+import struct
 import time
 from multiprocessing import shared_memory
 from typing import Callable, Dict, FrozenSet, Generator, List, Optional
@@ -185,98 +197,181 @@ class NodeHandle:
                    data["host"], data["port"], data.get("shm", ""))
 
 
-class Connection:
-    """One multiplexed stream to a memory node.
+class Connection(asyncio.Protocol):
+    """One multiplexed connection to a memory node, driven as a protocol.
 
-    Requests carry per-connection ids; a single reader task resolves
-    response futures in arrival order, so a client's foreground op and its
-    fire-and-forget posts can share the stream with requests in flight
-    concurrently.
+    Takes over the transport of a freshly opened stream pair: responses
+    are split out of ``data_received`` by :class:`wire.FrameSplitter` and
+    resolve their request futures directly, with no reader task.
+    Requests carry per-connection ids, so a client's foreground op and
+    its fire-and-forget posts share the connection with requests in
+    flight concurrently, and responses may return in any order.
+    Timeouts are enforced by one deadline timer per connection, armed
+    at the earliest pending deadline.  Request frames queued in one loop
+    tick — say, the next verbs of every client woken by one batch of
+    responses — go out in one write; a request waits for the write
+    buffer to drain only while the transport has paused writing.
     """
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
-        self._reader = reader
+        self._loop = asyncio.get_running_loop()
+        # Held for its lifetime only: a collected StreamWriter closes the
+        # transport it wraps.
         self._writer = writer
-        self._pending: Dict[int, asyncio.Future] = {}
+        self._transport = writer.transport
+        self._frames = wire.FrameSplitter()
+        #: req_id -> (response future, loop-time deadline).
+        self._pending: Dict[int, tuple] = {}
         self._next_id = 0
         self._broken: Optional[BaseException] = None
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Request frames queued this loop tick, flushed by one write.
+        self._outbox: List[bytes] = []
+        self._write_paused = False
+        self._drain_waiters: List[asyncio.Future] = []
+        self._lost = self._loop.create_future()
+        self._transport.set_protocol(self)
+        if self._transport.is_closing():
+            # Lost before the hand-over: the loss went to the old protocol.
+            self.connection_lost(None)
 
-    async def _read_loop(self) -> None:
+    # -- protocol callbacks ------------------------------------------------
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                frame = await wire.read_frame(self._reader)
+            frames = self._frames.feed(data)
+        except ValueError as exc:  # oversized length header
+            self._abort(exc)
+            return
+        pending = self._pending
+        for frame in frames:
+            try:
                 req_id, status = wire.RESP.unpack_from(frame)
-                future = self._pending.pop(req_id, None)
-                if future is not None and not future.done():
-                    future.set_result((status, frame[wire.RESP.size :]))
-        except (
-            wire.IncompleteReadError,  # peer closed mid-frame / clean EOF
-            ConnectionError,
-            OSError,
-            ValueError,  # oversized/garbled frame header
-        ) as exc:
-            self._fail(exc)
-        except asyncio.CancelledError:
-            self._fail(ConnectionResetError("connection closed"))
-            raise
+            except struct.error as exc:  # garbled frame
+                self._abort(exc)
+                return
+            entry = pending.pop(req_id, None)
+            if entry is not None and not entry[0].done():
+                entry[0].set_result((status, frame[wire.RESP.size :]))
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self._fail(exc or ConnectionResetError("connection closed by peer"))
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_drain_waiters()
+
+    # -- failure and deadlines ---------------------------------------------
+
+    def _wake_drain_waiters(self) -> None:
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        self._drain_waiters.clear()
 
     def _fail(self, exc: BaseException) -> None:
-        self._broken = exc
-        for future in self._pending.values():
+        if self._broken is None:
+            self._broken = exc
+        for future, _deadline in self._pending.values():
             if not future.done():
                 future.set_exception(ConnectionResetError(str(exc)))
         self._pending.clear()
+        self._wake_drain_waiters()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _abort(self, exc: BaseException) -> None:
+        """The stream can no longer be trusted: fail everything, drop it."""
+        self._fail(exc)
+        self._transport.abort()
+
+    def _arm(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        """Deadline timer: time out every overdue request, re-arm."""
+        self._timer = None
+        now = self._loop.time()
+        pending = self._pending
+        earliest = None
+        for req_id, (future, deadline) in list(pending.items()):
+            if deadline <= now:
+                del pending[req_id]
+                if not future.done():
+                    future.set_exception(asyncio.TimeoutError())
+            elif earliest is None or deadline < earliest:
+                earliest = deadline
+        if earliest is not None:
+            self._arm(earliest)
+
+    # -- requests ----------------------------------------------------------
 
     async def request(self, op: int, body: bytes, timeout_s: float):
         """Send one request; returns ``(status, payload)``.
 
         Raises :class:`RequestNotSent` when the connection was already
-        dead before the request bytes were handed to the transport (safe
-        to retry on a fresh connection, any opcode), TimeoutError on
-        expiry (the late response, if any, is dropped by the reader), and
-        plain ConnectionResetError when the peer died *after* the send —
+        dead before the request was queued (safe to retry on a fresh
+        connection, any opcode), TimeoutError on expiry (the late
+        response, if any, is dropped on arrival), and plain
+        ConnectionResetError when the peer died *after* it was queued —
         the ambiguous "response lost" case where the server may or may
-        not have executed the request.
+        not have executed the request.  (A frame still queued when the
+        connection dies was never sent; reporting it as ambiguous only
+        costs the caller a conservative resend or CAS fate check.)
         """
         if self._broken is not None:
             raise RequestNotSent(str(self._broken))
-        if self._writer.is_closing():
+        transport = self._transport
+        if transport.is_closing():
             raise RequestNotSent("connection is closing")
         self._next_id += 1
         req_id = self._next_id
-        future = asyncio.get_running_loop().create_future()
-        self._pending[req_id] = future
-        # From the write() call on, bytes may have reached the peer even
-        # if drain() or the response wait fails — everything after this
-        # point is "response lost", never "not sent".
-        self._writer.write(wire.request_frame(op, req_id, body))
+        loop = self._loop
+        future = loop.create_future()
+        deadline = loop.time() + timeout_s
+        self._pending[req_id] = (future, deadline)
+        timer = self._timer
+        if timer is None or deadline < timer.when():
+            self._arm(deadline)
+        # From here on, bytes may reach the peer even if the response
+        # wait fails — everything after this point is "response lost",
+        # never "not sent".
+        outbox = self._outbox
+        if not outbox:
+            loop.call_soon(self._flush)
+        outbox.append(wire.request_frame(op, req_id, body))
         try:
-            await self._writer.drain()
-            return await asyncio.wait_for(future, timeout_s)
-        except asyncio.TimeoutError:
+            if self._write_paused:
+                waiter = loop.create_future()
+                self._drain_waiters.append(waiter)
+                # The deadline still bounds a peer that stopped reading.
+                await asyncio.wait(
+                    (waiter, future), return_when=asyncio.FIRST_COMPLETED
+                )
+            return await future
+        except asyncio.CancelledError:
             self._pending.pop(req_id, None)
             raise
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(req_id, None)
-            raise ConnectionResetError(str(exc)) from exc
+
+    def _flush(self) -> None:
+        """Send every frame queued this tick with one write."""
+        if not self._transport.is_closing():
+            self._transport.write(b"".join(self._outbox))
+        self._outbox.clear()
 
     async def close(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        except (wire.IncompleteReadError, ConnectionError, OSError, ValueError):
-            pass  # the loop's own failure surfaced through cancellation
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._fail(ConnectionResetError("connection closed"))
+        self._transport.close()
+        await self._lost
 
 
 class NodeHealth:
@@ -412,9 +507,7 @@ class RealEndpoint(VerbTransport):
     # -- the socket round trip --------------------------------------------
 
     async def _connect(self, node: NodeHandle) -> Connection:
-        conn = self._conns.get(node.node_id)
-        if conn is not None and conn._broken is None:
-            return conn
+        """Open a fresh connection to ``node``, closing the one it replaces."""
         try:
             reader, writer = await asyncio.open_connection(
                 node.host, node.port
@@ -428,7 +521,14 @@ class RealEndpoint(VerbTransport):
                 node_id=node.node_id,
             ) from exc
         conn = Connection(reader, writer)
+        stale = self._conns.get(node.node_id)
+        if stale is not None and stale._broken is None:
+            # A concurrent reconnect finished first: share its connection.
+            await conn.close()
+            return stale
         self._conns[node.node_id] = conn
+        if stale is not None:
+            stale._abort(ConnectionResetError("connection replaced"))
         return conn
 
     def _decode(self, node: NodeHandle, verb: str, status: int,
@@ -482,7 +582,9 @@ class RealEndpoint(VerbTransport):
             probing = True
         last_exc: Optional[BaseException] = None
         for attempt in range(1, RESEND_ATTEMPTS + 1):
-            conn = await self._connect(node)
+            conn = self._conns.get(node.node_id)
+            if conn is None or conn._broken is not None:
+                conn = await self._connect(node)
             try:
                 status, payload = await conn.request(
                     op, body, self.timeout_s
@@ -664,9 +766,10 @@ class RealEndpoint(VerbTransport):
     # -- lifecycle ---------------------------------------------------------
 
     async def aclose(self) -> None:
-        for conn in self._conns.values():
-            await conn.close()
+        conns = list(self._conns.values())
         self._conns.clear()
+        for conn in conns:
+            await conn.close()
         if self.shm_reads:
             for node in self.nodes:
                 node.detach()

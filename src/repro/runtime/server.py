@@ -9,10 +9,18 @@ back the sim substrate execute them.  Segment management runs on
 grant into a write-through journal at the tail of the same shared-memory
 segment — so a SIGKILLed node can be restarted with ``--adopt`` against
 the surviving heap and resume with its grant log (and alloc-dedup
-tokens) intact.  The server loop is single-threaded asyncio and memory
-operations contain no await points, so CAS/FAA from any number of
-connections linearize by construction — the same serialization point the
-sim models with the NIC pipe.
+tokens) intact.
+
+Each client connection is served by an ``asyncio.Protocol`` whose
+``data_received`` splits out every complete frame
+(:class:`~repro.runtime.wire.FrameSplitter`) and executes them inline,
+in arrival order, answering the whole batch with one ``transport.write``;
+reading pauses while the connection's write buffer is over the
+high-water mark.  Memory operations and RPC handlers contain no await
+points, so CAS/FAA from any number of connections linearize by
+construction on the single-threaded loop — the same serialization point
+the sim models with the NIC pipe.  Only chaos-spiked verbs and the
+``__sleep__`` debug RPC run as tasks, off the in-order path.
 
 Node 0 additionally hosts the cluster-level metadata handlers (the
 adaptive ``update_weights`` fold and ``get_membership``), mirroring the
@@ -21,7 +29,10 @@ sim cluster where node 0 carries the hash table and global structures.
 Fault injection: a :class:`~repro.runtime.chaos.ChaosGate` can be armed
 over RPC (``__chaos_load__``); it is consulted once per request frame,
 *before* execution, so a dropped verb never ran — the wall-clock
-equivalent of the sim's drop-at-the-NIC semantics.
+equivalent of the sim's drop-at-the-NIC semantics.  A DOWN verdict (and
+an ``OP_SHUTDOWN`` frame) flushes the responses already produced from
+the same read and closes the connection; the frames behind it never
+execute.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
 reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
@@ -186,8 +197,7 @@ class NodeServer:
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
         self._stop = asyncio.Event()
         self._server = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._conns: Set["_NodeConnection"] = set()
         self._delayed: Set[asyncio.Task] = set()
         self.ops_served = 0
         self.started_epoch = time.time()
@@ -236,7 +246,7 @@ class NodeServer:
             "pid": os.getpid(),
             "uptime_s": time.time() - self.started_epoch,
             "ops_served": self.ops_served,
-            "connections": len(self._conn_tasks),
+            "connections": len(self._conns),
             "inflight_delayed": len(self._delayed),
             "journal_entries": self.segments.journal.count,
             "grants": sum(
@@ -319,6 +329,10 @@ class NodeServer:
         if op == "__stats_arm__":
             self.arm_obs(obs_runtime.current())
             return True
+        if op == "__sleep__":
+            # Debug/test handler: a stalled controller (timeout surfacing).
+            # The frame dispatch defers it by ``payload`` seconds first.
+            return None
         raise KeyError(f"no RPC handler registered for {op!r}")
 
     # -- frame dispatch ----------------------------------------------------
@@ -344,7 +358,7 @@ class NodeServer:
             return wire.ST_OK, b""
         raise ValueError(f"unknown opcode {op}")
 
-    async def _serve_rpc(self, body: bytes):
+    def _serve_rpc(self, body: bytes):
         op_name, payload, token = wire.unpack_rpc(body)
         if token:
             memo = self._rpc_memo.get(token)
@@ -352,10 +366,6 @@ class NodeServer:
                 # Resent RPC (response lost): replay the first result.
                 self._rpc_memo.move_to_end(token)
                 return memo
-        if op_name == "__sleep__":
-            # Debug/test handler: a stalled controller (timeout surfacing).
-            await asyncio.sleep(float(payload))
-            return wire.ST_OK, pickle.dumps(None)
         try:
             result = self._rpc(op_name, payload, token)
         except OutOfMemoryError as err:
@@ -372,10 +382,10 @@ class NodeServer:
                 self._rpc_memo.popitem(last=False)
         return out
 
-    async def _execute(self, op: int, body: bytes):
+    def _execute(self, op: int, body: bytes):
         try:
             if op == wire.OP_RPC:
-                return await self._serve_rpc(body)
+                return self._serve_rpc(body)
             return self._serve_data(op, body)
         except MemoryAccessError as err:
             return wire.ST_ACCESS, pickle.dumps(str(err))
@@ -399,134 +409,123 @@ class NodeServer:
             return None, 0.0
         return gate.verb_outcome(_VERB_BY_OP.get(op, "rpc"))
 
-    def _spawn_delayed(self, writer, op: int, req_id: int, body: bytes,
-                       delay_s: float) -> None:
-        """Latency spike: execute + respond after the delay, off the main
-        per-connection loop so other multiplexed requests keep flowing —
-        the sim's extra-lead-latency semantics (the verb executes at its
-        delayed completion time)."""
+    def _defer(self, conn: "_NodeConnection", op: int, req_id: int,
+               body: bytes, delay_s: float) -> None:
+        """Execute + respond after ``delay_s``, off the connection's
+        in-order dispatch so the frames behind it keep flowing.
+
+        Serves latency spikes — the sim's extra-lead-latency semantics:
+        the verb executes at its delayed completion time — and the
+        ``__sleep__`` debug RPC.
+        """
 
         async def _later():
             await asyncio.sleep(delay_s)
-            status, out = await self._execute(op, body)
-            if not writer.is_closing():
-                writer.write(wire.response_frame(req_id, status, out))
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
+            status, out = self._execute(op, body)
+            transport = conn.transport
+            if not transport.is_closing():
+                transport.write(wire.response_frame(req_id, status, out))
 
-        task = asyncio.create_task(_later())
+        task = asyncio.get_running_loop().create_task(_later())
         self._delayed.add(task)
         task.add_done_callback(self._delayed.discard)
 
-    async def _handle(self, reader, writer):
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
-        self._conn_seq += 1
-        conn_id = self._conn_seq
-        # Trace lane for this connection, allocated on the first observed
-        # frame.  Frames on one connection are handled sequentially, so
-        # their spans nest properly within the lane; concurrent
-        # connections get distinct lanes.
-        lane: Optional[int] = None
-        try:
-            while True:
-                frame = await wire.read_frame(reader)
-                op, req_id = wire.REQ.unpack_from(frame)
-                body = frame[wire.REQ.size :]
-                self.ops_served += 1
-                obs = self._obs
+    def _serve_frames(self, conn: "_NodeConnection", frames) -> None:
+        """Execute one read's frames in arrival order; one write back.
+
+        Memory ops and RPC handlers contain no await points, so every
+        frame runs to completion here and CAS/FAA from all connections
+        linearize on the one loop.  Only spiked verbs and ``__sleep__``
+        are deferred to tasks.  A DOWN verdict or a SHUTDOWN frame ends
+        the connection: the responses already produced go out, the
+        frames behind it are never executed.
+        """
+        out = []
+        obs = self._obs
+        for frame in frames:
+            op, req_id = wire.REQ.unpack_from(frame)
+            body = frame[wire.REQ.size :]
+            self.ops_served += 1
+            if obs is not None:
+                obs.frame_bytes.record(len(frame))
+            kind, extra_us = self._gate_outcome(op, body)
+            if kind == DROP:
                 if obs is not None:
-                    obs.frame_bytes.record(len(frame))
-                kind, extra_us = self._gate_outcome(op, body)
-                if kind == DROP:
-                    if obs is not None:
-                        obs.verdict_drop.add()
-                    continue  # swallowed before execution: client times out
-                if kind == DOWN:
-                    if obs is not None:
-                        obs.verdict_down.add()
-                    break  # outage window: reset, client sees NodeUnavailable
-                if op == wire.OP_SHUTDOWN:
-                    writer.write(wire.response_frame(req_id, wire.ST_OK))
-                    await writer.drain()
-                    self._stop.set()
-                    break
-                if extra_us > 0.0:
-                    if obs is not None:
-                        obs.verdict_spike.add()
-                        if obs.proc is not None:
-                            if lane is None:
-                                lane = obs.proc.lane(f"conn-{conn_id}")
-                            # The delayed execution overlaps whatever runs
-                            # next on this connection: an instant, not a
-                            # span, keeps the lane properly nested.
-                            obs.proc.tracer.instant_at(
-                                f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
-                                "verb", obs.proc.now_us(), tid=lane,
-                                args={"extra_us": extra_us},
-                            )
-                    self._spawn_delayed(
-                        writer, op, req_id, bytes(body), extra_us / 1e6
-                    )
-                    continue
-                if obs is None:
-                    status, out = await self._execute(op, body)
-                else:
-                    start_us = (
-                        obs.proc.now_us() if obs.proc is not None else 0.0
-                    )
-                    t0 = time.perf_counter()
-                    status, out = await self._execute(op, body)
-                    service_us = (time.perf_counter() - t0) * 1e6
-                    counter = obs.verb_count.get(op)
-                    if counter is not None:
-                        counter.add()
-                        obs.verb_us[op].record(service_us)
+                    obs.verdict_drop.add()
+                continue  # swallowed before execution: client times out
+            if kind == DOWN:
+                if obs is not None:
+                    obs.verdict_down.add()
+                # Outage window: reset, client sees NodeUnavailable.
+                conn.finish(out)
+                return
+            if op == wire.OP_SHUTDOWN:
+                out.append(wire.response_frame(req_id, wire.ST_OK))
+                conn.finish(out)
+                self._stop.set()
+                return
+            if extra_us > 0.0:
+                if obs is not None:
+                    obs.verdict_spike.add()
                     if obs.proc is not None:
-                        if lane is None:
-                            lane = obs.proc.lane(f"conn-{conn_id}")
-                        obs.proc.tracer.complete(
-                            _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
-                            tid=lane, args={"status": status},
+                        # The delayed execution overlaps whatever runs
+                        # next on this connection: an instant, not a
+                        # span, keeps the lane properly nested.
+                        obs.proc.tracer.instant_at(
+                            f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
+                            "verb", obs.proc.now_us(), tid=conn.lane(obs),
+                            args={"extra_us": extra_us},
                         )
-                writer.write(wire.response_frame(req_id, status, out))
-                await writer.drain()
-        except (wire.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # client went away; nothing to clean up per-connection
-        finally:
-            self._conn_tasks.discard(task)
-            self._writers.discard(writer)
-            writer.close()
+                self._defer(conn, op, req_id, body, extra_us / 1e6)
+                continue
+            if op == wire.OP_RPC and body[1 : 1 + body[0]] == b"__sleep__":
+                self._defer(conn, op, req_id, body,
+                            float(wire.unpack_rpc(body)[1]))
+                continue
+            if obs is None:
+                status, result = self._execute(op, body)
+            else:
+                start_us = obs.proc.now_us() if obs.proc is not None else 0.0
+                t0 = time.perf_counter()
+                status, result = self._execute(op, body)
+                service_us = (time.perf_counter() - t0) * 1e6
+                counter = obs.verb_count.get(op)
+                if counter is not None:
+                    counter.add()
+                    obs.verb_us[op].record(service_us)
+                if obs.proc is not None:
+                    obs.proc.tracer.complete(
+                        _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
+                        tid=conn.lane(obs), args={"status": status},
+                    )
+            out.append(wire.response_frame(req_id, status, result))
+        if out:
+            conn.transport.write(b"".join(out))
 
     # -- lifecycle ---------------------------------------------------------
 
     async def _drain(self, grace: float = DRAIN_GRACE_S) -> None:
         """Let in-flight work finish, then tear connections down.
 
-        Data verbs execute without awaiting, so by the time this
+        Frames execute inline as they arrive, so by the time this
         coroutine runs none is mid-execution; what can be in flight are
-        spiked delayed responses and slow RPCs.  Give them the grace
-        period, then cancel stragglers and close every connection (which
-        pops the per-connection loops out of ``read_frame``).
+        deferred frames (spiked verbs, ``__sleep__``).  Give them the
+        grace period, then cancel stragglers and close every connection,
+        aborting any whose peer has not taken its last bytes by then.
         """
+        loop = asyncio.get_running_loop()
         pending = {t for t in self._delayed if not t.done()}
         if pending:
             await asyncio.wait(pending, timeout=grace)
             for task in pending:
                 task.cancel()
-        for writer in list(self._writers):
-            writer.close()
-        handlers = {
-            t for t in self._conn_tasks
-            if not t.done() and t is not asyncio.current_task()
-        }
-        if handlers:
-            _done, rest = await asyncio.wait(handlers, timeout=grace)
-            for task in rest:
-                task.cancel()
+        for conn in list(self._conns):
+            conn.transport.close()
+        deadline = loop.time() + grace
+        while self._conns and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for conn in list(self._conns):
+            conn.transport.abort()
 
     async def run(self, announce=print) -> None:
         loop = asyncio.get_running_loop()
@@ -535,8 +534,8 @@ class NodeServer:
                 loop.add_signal_handler(sig, self._stop.set)
             except (NotImplementedError, RuntimeError):
                 pass
-        self._server = await asyncio.start_server(
-            self._handle, "127.0.0.1", self.port
+        self._server = await loop.create_server(
+            lambda: _NodeConnection(self), "127.0.0.1", self.port
         )
         port = self._server.sockets[0].getsockname()[1]
         announce(
@@ -547,8 +546,8 @@ class NodeServer:
             await self._stop.wait()
         finally:
             self._server.close()
-            await self._server.wait_closed()
             await self._drain()
+            await self._server.wait_closed()
             self._flush_obs()
             self.close()
 
@@ -586,6 +585,65 @@ class NodeServer:
             except FileNotFoundError:
                 pass
         self.shm = None
+
+
+class _NodeConnection(asyncio.Protocol):
+    """One client connection to a :class:`NodeServer`.
+
+    ``data_received`` splits out every complete frame and hands the
+    batch to :meth:`NodeServer._serve_frames`, which answers with one
+    ``transport.write``.  Reading pauses while this connection's own
+    write buffer is over the high-water mark, so a client that stops
+    reading responses cannot make the node buffer without bound.
+    """
+
+    def __init__(self, server: NodeServer):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self._frames = wire.FrameSplitter()
+        self._conn_id = 0
+        self._lane: Optional[int] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        server = self.server
+        server._conn_seq += 1
+        self._conn_id = server._conn_seq
+        server._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self._frames.feed(data)
+        except ValueError:  # oversized length header: drop the client
+            self.transport.abort()
+            return
+        self.server._serve_frames(self, frames)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def finish(self, out) -> None:
+        """Flush the responses produced so far, then close."""
+        if out:
+            self.transport.write(b"".join(out))
+        self.transport.close()
+
+    def lane(self, obs: _ServerObs) -> int:
+        """This connection's trace lane, allocated on first use.
+
+        Frames on one connection execute one after another, so their
+        spans nest properly within the lane; concurrent connections get
+        distinct lanes.
+        """
+        if self._lane is None:
+            self._lane = obs.proc.lane(f"conn-{self._conn_id}")
+        return self._lane
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from asyncio import IncompleteReadError, StreamReader
+from typing import List
 
 # -- opcodes ---------------------------------------------------------------
 
@@ -109,13 +109,44 @@ def peek_rpc_name(body: bytes) -> str:
     return body[1 : 1 + body[0]].decode("utf-8")
 
 
-async def read_frame(reader: StreamReader) -> bytes:
-    """Read one frame; raises IncompleteReadError on a clean/ dirty EOF."""
-    header = await reader.readexactly(HEADER.size)
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ValueError(f"oversized frame: {length} bytes")
-    return await reader.readexactly(length)
+class FrameSplitter:
+    """Incremental splitter of a byte stream into frames.
+
+    Both ends of the connection feed it whatever ``data_received`` hands
+    them and get back every frame completed by that chunk, in stream
+    order, header stripped.  A partial frame stays buffered until the
+    chunk that finishes it.  A length header over :data:`MAX_FRAME`
+    raises ``ValueError``: the stream can no longer be trusted, and the
+    caller must drop the connection.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self):
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> List[bytes]:
+        buf = self._buf
+        if buf:
+            buf += data
+            data = buf
+        frames = []
+        pos = 0
+        size = len(data)
+        while size - pos >= HEADER.size:
+            (length,) = HEADER.unpack_from(data, pos)
+            if length > MAX_FRAME:
+                raise ValueError(f"oversized frame: {length} bytes")
+            end = pos + HEADER.size + length
+            if end > size:
+                break
+            frames.append(bytes(data[pos + HEADER.size : end]))
+            pos = end
+        if buf:
+            del buf[:pos]
+        elif pos < size:
+            buf += data[pos:]
+        return frames
 
 
 __all__ = [
@@ -126,5 +157,5 @@ __all__ = [
     "READ_BODY", "WRITE_HDR", "CAS_BODY", "FAA_BODY", "U64",
     "RESEND_SAFE_OPS",
     "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
-    "peek_rpc_name", "read_frame", "IncompleteReadError",
+    "peek_rpc_name", "FrameSplitter",
 ]
