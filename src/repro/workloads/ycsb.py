@@ -4,11 +4,17 @@ A request is ``(op, key_id)`` with op in {"read", "update", "insert"}.  The
 paper's setup: 10 million pre-loaded 256-byte key-value pairs, Zipfian with
 θ = 0.99.  Workload D inserts new keys and reads with the "latest"
 distribution.
+
+Each ``requests(n)`` call draws its op mix and keys as whole numpy blocks,
+with no numpy call per request.  Consecutive calls and ``request_stream``
+chunks continue one stream.  ``tests/workloads/test_ycsb_block_identity.py``
+pins that stream against a per-request reference loop and a frozen digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -52,48 +58,58 @@ class YCSBWorkload:
         self.config = config
         mix = YCSB_MIXES[config.workload]
         self._read_frac, self._update_frac, self._insert_frac = mix
-        self._zipf = ZipfianGenerator(
-            config.n_keys, theta=config.theta, seed=config.seed
-        )
-        self._latest = LatestGenerator(
-            config.n_keys, theta=config.theta, seed=config.seed + 1
-        )
         self._rng = np.random.default_rng(config.seed + 2)
         self._newest = config.n_keys - 1  # logical key space: base + own inserts
+
+    # Key generators are built on first use: A-C draw only from the Zipfian,
+    # D only from "latest".  Each owns its seeded RNG, so building one or
+    # both does not change either stream.
+    @cached_property
+    def _zipf(self) -> ZipfianGenerator:
+        return ZipfianGenerator(
+            self.config.n_keys, theta=self.config.theta, seed=self.config.seed
+        )
+
+    @cached_property
+    def _latest(self) -> LatestGenerator:
+        return LatestGenerator(
+            self.config.n_keys, theta=self.config.theta, seed=self.config.seed + 1
+        )
 
     def load_keys(self) -> range:
         """Keys pre-loaded before the measured run (sharded across clients)."""
         return range(self.config.n_keys)
 
-    def _physical_key(self, logical: int) -> int:
-        """Map the logical (base + own-inserts) space to physical keys."""
-        if logical < self.config.n_keys:
-            return logical
-        own_index = logical - self.config.n_keys
-        return (
-            self.config.n_keys
-            + self.config.client_id * self.config.insert_space
-            + own_index
-        )
-
     def requests(self, count: int) -> List[Request]:
-        """Materialize ``count`` requests."""
+        """Materialize the next ``count`` requests, drawn in numpy blocks."""
         ops = self._rng.random(count)
         if self.config.workload == "D":
-            out: List[Request] = []
-            for op_draw in ops:
-                if op_draw < self._insert_frac:
-                    self._newest += 1
-                    out.append(("insert", self._physical_key(self._newest)))
-                else:
-                    logical = self._latest.sample_one(self._newest)
-                    out.append(("read", self._physical_key(logical)))
-            return out
+            return self._requests_d(ops)
         keys = self._zipf.sample(count)
         read_cut = self._read_frac
         return [
-            ("read" if draw < read_cut else "update", int(key))
-            for draw, key in zip(ops, keys)
+            ("read" if draw < read_cut else "update", key)
+            for draw, key in zip(ops.tolist(), keys.tolist())
+        ]
+
+    def _requests_d(self, ops: np.ndarray) -> List[Request]:
+        """Workload D: inserts extend the key space, reads skew to the newest.
+
+        A read sees every insert before it in the stream, so its "latest"
+        draw is taken against the running ``newest`` at its position.
+        """
+        is_insert = ops < self._insert_frac
+        newest = self._newest + np.cumsum(is_insert)
+        is_read = ~is_insert
+        logical = newest.copy()
+        logical[is_read] = self._latest.sample(int(is_read.sum()), newest[is_read])
+        self._newest += int(is_insert.sum())
+        # Own inserts live at n_keys + client_id * insert_space + i.
+        shift = self.config.client_id * self.config.insert_space
+        physical = np.where(logical < self.config.n_keys, logical, logical + shift)
+        return [
+            ("insert" if insert else "read", key)
+            for insert, key in zip(is_insert.tolist(), physical.tolist())
         ]
 
     def request_stream(self, count: int, chunk: int = 4096) -> Iterator[Request]:

@@ -8,7 +8,7 @@ and exact for the bounded key counts used here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ZipfianGenerator:
             return self._permutation[ranks]
         return ranks.astype(np.int64)
 
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
-
 
 class UniformGenerator:
     """Uniform key sampling over [0, n_keys)."""
@@ -63,23 +60,19 @@ class UniformGenerator:
     def sample(self, count: int) -> np.ndarray:
         return self.rng.integers(0, self.n_keys, size=count, dtype=np.int64)
 
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
-
 
 class LatestGenerator:
     """YCSB's "latest" distribution: recency-skewed toward newest inserts.
 
     Used by workload D: the sampled key is ``newest - zipf_offset``.
+    ``newest`` is one id for the whole draw, or an array giving each of the
+    ``count`` draws its own; offsets are drawn in order either way.
     """
 
     def __init__(self, n_keys: int, theta: float = 0.99, seed: int = 0):
         self.n_keys = n_keys
         self._zipf = ZipfianGenerator(n_keys, theta=theta, seed=seed, scramble=False)
 
-    def sample(self, count: int, newest: int) -> np.ndarray:
+    def sample(self, count: int, newest: Union[int, np.ndarray]) -> np.ndarray:
         offsets = self._zipf.sample(count)
-        return (newest - offsets) % max(newest + 1, 1)
-
-    def sample_one(self, newest: int) -> int:
-        return int(self.sample(1, newest)[0])
+        return (newest - offsets) % np.maximum(newest + 1, 1)

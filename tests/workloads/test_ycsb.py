@@ -60,6 +60,14 @@ class TestConfig:
         wl = make_ycsb("C", n_keys=100, seed=1)
         assert list(wl.load_keys()) == list(range(100))
 
+    def test_builds_only_the_generator_its_mix_draws_from(self):
+        a = make_ycsb("A", n_keys=100, seed=1)
+        d = make_ycsb("D", n_keys=100, seed=1)
+        a.requests(100)
+        d.requests(100)
+        assert "_latest" not in vars(a) and "_zipf" in vars(a)
+        assert "_zipf" not in vars(d) and "_latest" in vars(d)
+
     def test_request_stream_chunks(self):
         wl = make_ycsb("C", n_keys=100, seed=1)
         stream = list(wl.request_stream(1000, chunk=64))

@@ -46,7 +46,8 @@ class TestZipfian:
         assert counts.min() > 0.08 * 50_000
 
     def test_sample_one(self):
-        assert 0 <= ZipfianGenerator(10, seed=1).sample_one() < 10
+        (key,) = ZipfianGenerator(10, seed=1).sample(1)
+        assert 0 <= key < 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,3 +74,11 @@ class TestLatest:
         gen = LatestGenerator(100, seed=5)
         keys = gen.sample(1000, newest=50)
         assert keys.min() >= 0 and keys.max() <= 50
+
+    def test_per_draw_newest_matches_single_draws(self):
+        newest = np.arange(99, 99 + 2000) // 3
+        block = LatestGenerator(100, seed=5).sample(len(newest), newest)
+        single = LatestGenerator(100, seed=5)
+        one_by_one = [int(single.sample(1, int(n))[0]) for n in newest]
+        assert block.tolist() == one_by_one
+        assert (block >= 0).all() and (block <= newest).all()
